@@ -186,15 +186,8 @@ func main() {
 	}()
 
 	if *gen > 0 {
-		go func() {
-			g := workload.NewGenerator(*id, *txSize, *gen*trace.MB, int64(*id)+1)
-			start := time.Now()
-			for {
-				tx, gap := g.Next(time.Since(start))
-				time.Sleep(gap)
-				node.Submit(tx)
-			}
-		}()
+		g := workload.NewGenerator(*id, *txSize, *gen*trace.MB, int64(*id)+1)
+		go generate(newSchedule(g), node.Submit)
 	}
 
 	stop := make(chan os.Signal, 1)

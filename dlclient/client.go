@@ -111,6 +111,7 @@ type Info struct {
 
 type pendingReq struct {
 	tx []byte
+	h  *mempool.Hash // HashTx(tx) when the submitter already computed it
 	ch chan Receipt
 }
 
@@ -271,7 +272,11 @@ func (c *Client) connect() error {
 
 // Submit sends one transaction and waits for its receipt (across
 // reconnects, up to ReceiptTimeout).
-func (c *Client) Submit(tx []byte) (Receipt, error) {
+func (c *Client) Submit(tx []byte) (Receipt, error) { return c.submit(tx, nil) }
+
+// submit is Submit carrying the transaction's hash when the caller has
+// it (nil otherwise), so receipt handling does not hash tx again.
+func (c *Client) submit(tx []byte, h *mempool.Hash) (Receipt, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -279,7 +284,7 @@ func (c *Client) Submit(tx []byte) (Receipt, error) {
 	}
 	c.reqSeq++
 	id := c.reqSeq
-	w := &pendingReq{tx: tx, ch: make(chan Receipt, 1)}
+	w := &pendingReq{tx: tx, h: h, ch: make(chan Receipt, 1)}
 	c.waiters[id] = w
 	bw := c.bw
 	var err error
@@ -324,7 +329,7 @@ func (c *Client) SubmitAndWait(tx []byte, timeout time.Duration) (Commit, error)
 		c.mu.Unlock()
 	}()
 
-	rc, err := c.Submit(tx)
+	rc, err := c.submit(tx, &h)
 	if err != nil {
 		return Commit{}, err
 	}
@@ -414,7 +419,12 @@ func (c *Client) onReceipt(rc Receipt) {
 	if w != nil {
 		switch rc.Status {
 		case StatusAccepted, StatusDuplicatePending:
-			h := mempool.HashTx(w.tx)
+			var h mempool.Hash
+			if w.h != nil {
+				h = *w.h
+			} else {
+				h = mempool.HashTx(w.tx)
+			}
 			// The commit may already have overtaken this receipt; a
 			// committed tx must not re-enter the resubmission set.
 			if _, committed := c.recentCommits[h]; !committed {
@@ -445,19 +455,15 @@ func (c *Client) recordCommit(h mempool.Hash) {
 
 func (c *Client) onCommit(cm Commit) {
 	c.mu.Lock()
-	tx, had := c.outstanding[cm.TxHash]
 	delete(c.outstanding, cm.TxHash)
 	c.recordCommit(cm.TxHash)
 	wait := c.commitWait[cm.TxHash]
 	c.mu.Unlock()
 
-	// Verify before delivering: with the transaction bytes in hand the
-	// full content check runs; otherwise the inclusion path alone.
-	ok := cm.VerifyHash()
-	if ok && had {
-		ok = cm.Verify(tx)
-	}
-	if !ok {
+	// Verify before delivering. Only the inclusion path needs checking:
+	// outstanding and commitWait are keyed by the content hash of the
+	// submitted bytes, so a commit matching one names those bytes.
+	if !cm.VerifyHash() {
 		c.mu.Lock()
 		c.verifyFailures++
 		c.mu.Unlock()

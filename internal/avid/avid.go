@@ -34,11 +34,10 @@ import (
 	"dledger/internal/wire"
 )
 
-// scratchPool recycles erasure-encode scratch across the transient
-// re-encode paths — retrieval verification and own-chunk back-fill —
-// where the shards are discarded (or copied out) before the next use.
-// Dispersal proper keeps Split: its shards travel in Chunk messages and
-// must own their memory.
+// scratchPool recycles erasure-encode scratch for retrieval's re-encode
+// check, where the shards are compared and dropped (or copied out)
+// before the next use. Dispersal proper keeps Split: its shards travel
+// in Chunk messages and must own their memory.
 var scratchPool = sync.Pool{New: func() any { return new(erasure.Scratch) }}
 
 // BadUploader is the fixed error value returned by retrieval when the
@@ -98,28 +97,6 @@ func Disperse(p Params, block []byte) ([]wire.Chunk, merkle.Root, error) {
 	return msgs, root, nil
 }
 
-// OwnChunk re-encodes a full block and returns server self's leaf: the
-// Merkle root, the chunk, and its inclusion proof. A node that
-// retrieved a block over the network uses it to back-fill the chunk its
-// crashed or not-yet-joined incarnation never received, restoring its
-// availability promise for the instance.
-func OwnChunk(p Params, self int, block []byte) (merkle.Root, []byte, merkle.Proof, error) {
-	sc := scratchPool.Get().(*erasure.Scratch)
-	defer scratchPool.Put(sc)
-	shards, err := p.Coder.SplitInto(block, sc)
-	if err != nil {
-		return merkle.Root{}, nil, merkle.Proof{}, err
-	}
-	tree := merkle.NewTree(shards)
-	proof, err := tree.Prove(self)
-	if err != nil {
-		return merkle.Root{}, nil, merkle.Proof{}, err
-	}
-	// The scratch is reused after return: the one shard we keep is copied.
-	chunk := append([]byte(nil), shards[self]...)
-	return tree.Root(), chunk, proof, nil
-}
-
 // Server is the per-instance server automaton.
 type Server struct {
 	p    Params
@@ -129,6 +106,11 @@ type Server struct {
 	myProof merkle.Proof
 	myRoot  merkle.Root
 	haveMy  bool
+	// myLeaf is HashLeaf(myChunk), kept from the Chunk's verification
+	// so the node's own retriever need not hash the chunk again. A
+	// restored or adopted chunk has none (hasLeaf false).
+	myLeaf  merkle.Root
+	hasLeaf bool
 
 	gotChunkFrom map[merkle.Root]map[int]bool
 	readyFrom    map[merkle.Root]map[int]bool
@@ -206,6 +188,7 @@ func (s *Server) AdoptComplete(root merkle.Root, data []byte, proof merkle.Proof
 		s.myChunk = data
 		s.myProof = proof
 		s.myRoot = root
+		s.hasLeaf = false
 	}
 	return s.flushPending()
 }
@@ -215,6 +198,18 @@ func (s *Server) AdoptComplete(root merkle.Root, data []byte, proof merkle.Proof
 // and proof. ok mirrors HasChunk. Only meaningful after completion.
 func (s *Server) StoredChunk() (root merkle.Root, data []byte, proof merkle.Proof, ok bool) {
 	return s.chunkRoot, s.myChunk, s.myProof, s.HasChunk()
+}
+
+// VerifiedLeaf returns the leaf hash the server computed when it
+// verified its chunk, provided data is byte-identical to that chunk (the
+// ReturnChunk it served to its own node carries the same slice, so the
+// comparison is a pointer check). ok is false for a restored or adopted
+// chunk, whose leaf was never computed here.
+func (s *Server) VerifiedLeaf(data []byte) (leaf merkle.Root, ok bool) {
+	if !s.hasLeaf || !bytes.Equal(data, s.myChunk) {
+		return merkle.Root{}, false
+	}
+	return s.myLeaf, true
 }
 
 // HasChunk reports whether this server stored a chunk matching the agreed
@@ -258,7 +253,11 @@ func (s *Server) Handle(from int, msg wire.Msg) (outs []Send, completed bool) {
 
 func (s *Server) onChunk(m wire.Chunk) []Send {
 	// Verify that the chunk is the self-th leaf under the claimed root.
-	if m.Proof.Index != s.self || !merkle.Verify(m.Root, m.Data, m.Proof) {
+	if m.Proof.Index != s.self {
+		return nil
+	}
+	leaf := merkle.HashLeaf(m.Data)
+	if !merkle.VerifyLeaf(m.Root, leaf, m.Proof) {
 		return nil
 	}
 	if !s.haveMy {
@@ -266,6 +265,8 @@ func (s *Server) onChunk(m wire.Chunk) []Send {
 		s.myChunk = m.Data
 		s.myProof = m.Proof
 		s.myRoot = m.Root
+		s.myLeaf = leaf
+		s.hasLeaf = true
 	}
 	var outs []Send
 	if !s.sentGot {
@@ -358,20 +359,37 @@ func (s *Server) flushPending() []Send {
 // Retriever is the client-side retrieval automaton (Fig 4).
 type Retriever struct {
 	p       Params
+	self    int
+	root    merkle.Root
 	started bool
 	done    bool
 	result  []byte
 	bad     bool
 
-	chunks map[merkle.Root]map[int]wire.ReturnChunk
+	chunks map[merkle.Root]map[int]verifiedChunk
 	from   map[int]bool // dedup: one ReturnChunk per server counts
+
+	// ownData and ownProof are server self's chunk and proof under the
+	// retrieved root, set when retrieval succeeds.
+	ownData  []byte
+	ownProof merkle.Proof
 }
 
-// NewRetriever creates a retrieval client for one VID instance.
-func NewRetriever(p Params) *Retriever {
+// verifiedChunk is a proof-checked ReturnChunk with the leaf hash its
+// check computed (or was handed, for the node's own chunk).
+type verifiedChunk struct {
+	wire.ReturnChunk
+	leaf merkle.Root
+}
+
+// NewRetriever creates a retrieval client for one VID instance, run by
+// server self (whose own chunk and proof it reports on success); a
+// client that is not a server passes a self outside [0, N).
+func NewRetriever(p Params, self int) *Retriever {
 	return &Retriever{
 		p:      p,
-		chunks: map[merkle.Root]map[int]wire.ReturnChunk{},
+		self:   self,
+		chunks: map[merkle.Root]map[int]verifiedChunk{},
 		from:   map[int]bool{},
 	}
 }
@@ -397,29 +415,57 @@ func (r *Retriever) Answered(from int) bool { return r.from[from] }
 // BadUploader.
 func (r *Retriever) Block() (block []byte, bad bool) { return r.result, r.bad }
 
+// OwnChunk returns server self's chunk and inclusion proof under root,
+// as Disperse produced them, once retrieval has succeeded: what a node
+// that retrieved a block over the network back-fills into its own
+// server. ok is false before success and after BAD_UPLOADER.
+func (r *Retriever) OwnChunk() (root merkle.Root, data []byte, proof merkle.Proof, ok bool) {
+	if !r.done || r.bad || r.ownData == nil {
+		return merkle.Root{}, nil, merkle.Proof{}, false
+	}
+	return r.root, r.ownData, r.ownProof, true
+}
+
 // HandleReturnChunk ingests a server response. done flips to true on the
 // step the block is first reconstructed; outs carries the CancelRequest
 // broadcast that stops servers from sending further chunks.
 func (r *Retriever) HandleReturnChunk(from int, m wire.ReturnChunk) (outs []Send, done bool) {
-	if r.done || from < 0 || from >= r.p.N {
+	if !r.accepts(from, m) {
 		return nil, false
 	}
-	// The chunk position is bound to the responding server: server i
-	// stores and returns the i-th chunk. A proof for a different index is
-	// invalid regardless of its Merkle path.
-	if m.Proof.Index != from || !merkle.Verify(m.Root, m.Data, m.Proof) {
+	leaf := merkle.HashLeaf(m.Data)
+	if !merkle.VerifyLeaf(m.Root, leaf, m.Proof) {
 		return nil, false
 	}
-	if r.from[from] {
+	return r.add(from, m, leaf)
+}
+
+// HandleOwnChunk is HandleReturnChunk for the ReturnChunk this node's
+// own server sent, with the leaf hash Server.VerifiedLeaf vouches for:
+// only the proof path is checked, the chunk is not hashed again.
+func (r *Retriever) HandleOwnChunk(m wire.ReturnChunk, leaf merkle.Root) (outs []Send, done bool) {
+	if !r.accepts(r.self, m) || !merkle.VerifyLeaf(m.Root, leaf, m.Proof) {
 		return nil, false
 	}
+	return r.add(r.self, m, leaf)
+}
+
+// accepts reports whether a response from server from is still wanted
+// and claims the right leaf position: server i stores and returns the
+// i-th chunk, so a proof for a different index is invalid regardless of
+// its Merkle path.
+func (r *Retriever) accepts(from int, m wire.ReturnChunk) bool {
+	return !r.done && from >= 0 && from < r.p.N && !r.from[from] && m.Proof.Index == from
+}
+
+func (r *Retriever) add(from int, m wire.ReturnChunk, leaf merkle.Root) (outs []Send, done bool) {
 	r.from[from] = true
 	set := r.chunks[m.Root]
 	if set == nil {
-		set = map[int]wire.ReturnChunk{}
+		set = map[int]verifiedChunk{}
 		r.chunks[m.Root] = set
 	}
-	set[from] = m
+	set[from] = verifiedChunk{m, leaf}
 
 	if len(set) < r.p.K() {
 		return nil, false
@@ -428,7 +474,7 @@ func (r *Retriever) HandleReturnChunk(from int, m wire.ReturnChunk) (outs []Send
 	return []Send{{To: wire.Broadcast, Msg: wire.CancelRequest{}}}, true
 }
 
-func (r *Retriever) decode(root merkle.Root, set map[int]wire.ReturnChunk) {
+func (r *Retriever) decode(root merkle.Root, set map[int]verifiedChunk) {
 	shards := make([][]byte, r.p.N)
 	for i, c := range set {
 		shards[i] = c.Data
@@ -442,21 +488,41 @@ func (r *Retriever) decode(root merkle.Root, set map[int]wire.ReturnChunk) {
 	}
 	// Re-encoding check: the decoded block must re-encode to the same
 	// Merkle root, otherwise different chunk subsets could decode to
-	// different blocks. The re-encoded shards are compared and dropped, so
-	// they live in pooled scratch.
+	// different blocks. A re-encoded shard byte-identical to a verified
+	// chunk reuses that chunk's leaf hash; every other shard is hashed.
+	// The re-encoded shards are compared and dropped, so they live in
+	// pooled scratch.
 	sc := scratchPool.Get().(*erasure.Scratch)
+	defer scratchPool.Put(sc)
 	reShards, err := r.p.Coder.SplitInto(block, sc)
 	if err != nil {
-		scratchPool.Put(sc)
 		r.finish(nil, true)
 		return
 	}
-	ok := merkle.RootOf(reShards) == root
-	scratchPool.Put(sc)
-	if !ok {
+	leaves := make([]merkle.Root, r.p.N)
+	for i, sh := range reShards {
+		if c, ok := set[i]; ok && bytes.Equal(sh, c.Data) {
+			leaves[i] = c.leaf
+		} else {
+			leaves[i] = merkle.HashLeaf(sh)
+		}
+	}
+	tree := merkle.NewTreeFromLeaves(leaves)
+	if tree.Root() != root {
 		r.finish(nil, true)
 		return
 	}
+	if r.self >= 0 && r.self < r.p.N {
+		// The root matched, so every re-encoded shard is the dispersed
+		// one. A verified chunk already owns its memory; a shard only
+		// re-encoded is copied out of the scratch.
+		if c, ok := set[r.self]; ok {
+			r.ownData, r.ownProof = c.Data, c.Proof
+		} else if proof, err := tree.Prove(r.self); err == nil {
+			r.ownData, r.ownProof = append([]byte(nil), reShards[r.self]...), proof
+		}
+	}
+	r.root = root
 	r.finish(block, false)
 }
 

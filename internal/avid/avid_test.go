@@ -103,7 +103,7 @@ func (c *cluster) run(t *testing.T, drop func(from, to int) bool) {
 }
 
 func (c *cluster) startRetriever(id int) *Retriever {
-	r := NewRetriever(c.p)
+	r := NewRetriever(c.p, -1)
 	c.retrievers[id] = r
 	c.enqueueSends(id, r.Start())
 	return r
@@ -373,7 +373,7 @@ func TestEquivocatingReadyDoesNotSplitCompletion(t *testing.T) {
 func TestRetrieverRejectsBadProofs(t *testing.T) {
 	p, _ := NewParams(4, 1)
 	chunks, root, _ := Disperse(p, []byte("some block data"))
-	r := NewRetriever(p)
+	r := NewRetriever(p, -1)
 	r.Start()
 	// Response from server 2 carrying server 1's chunk: index mismatch.
 	outs, done := r.HandleReturnChunk(2, wire.ReturnChunk{Root: root, Data: chunks[1].Data, Proof: chunks[1].Proof})
@@ -385,7 +385,7 @@ func TestRetrieverRejectsBadProofs(t *testing.T) {
 func TestRetrieverDedupsPerServer(t *testing.T) {
 	p, _ := NewParams(4, 1)
 	chunks, root, _ := Disperse(p, []byte("dedup"))
-	r := NewRetriever(p)
+	r := NewRetriever(p, -1)
 	r.Start()
 	rc := wire.ReturnChunk{Root: root, Data: chunks[0].Data, Proof: chunks[0].Proof}
 	r.HandleReturnChunk(0, rc)

@@ -31,6 +31,7 @@ import (
 	"dledger/internal/avid"
 	"dledger/internal/ba"
 	"dledger/internal/coin"
+	"dledger/internal/merkle"
 	"dledger/internal/statesync"
 	"dledger/internal/wire"
 )
@@ -417,6 +418,21 @@ func (e *Engine) Propose(txs [][]byte) ([]Action, error) {
 	}
 	e.actions = nil
 	e.awaitingProposal = false
+	if err := e.disperse(txs); err != nil {
+		return nil, err
+	}
+	if e.cfg.Mode.resubmits() {
+		// A HoneyBadger block proposed after its epoch decided leaves
+		// the node free to propose the next epoch at once.
+		e.maybeSolicitProposal()
+	}
+	e.drain()
+	return e.takeActions(), nil
+}
+
+// disperse proposes txs as our block for the next epoch. The self chunk
+// is queued; the caller drains.
+func (e *Engine) disperse(txs [][]byte) error {
 	epoch := e.lastProposed + 1
 	e.lastProposed = epoch
 
@@ -427,10 +443,20 @@ func (e *Engine) Propose(txs [][]byte) ([]Action, error) {
 		Txs:      txs,
 	}
 	e.myBlocks[epoch] = blk
+	if e.cfg.Mode.resubmits() && e.isDecided(epoch) {
+		// The epoch decided while this proposal waited out its batching
+		// delay. Its slot is lost — no correct node votes for a block
+		// before retrieving it — and onEpochDecided had no block to
+		// return then, so the batch goes back to the mempool now.
+		if len(txs) > 0 {
+			e.actions = append(e.actions, ResubmitAction{Txs: txs})
+		}
+		delete(e.myBlocks, epoch)
+	}
 	enc := blk.Encode()
 	chunks, _, err := avid.Disperse(e.params, enc)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.actions = append(e.actions, StageAction{Epoch: epoch, Stage: StageDisperseStart})
 	e.actions = append(e.actions, ProposalMadeAction{Epoch: epoch, Block: enc})
@@ -443,8 +469,7 @@ func (e *Engine) Propose(txs [][]byte) ([]Action, error) {
 			e.actions = append(e.actions, SendAction{To: i, Env: env, Prio: wire.PrioDispersal})
 		}
 	}
-	e.drain()
-	return e.takeActions(), nil
+	return nil
 }
 
 // Handle processes one incoming envelope from the network.
@@ -871,6 +896,17 @@ func (e *Engine) maybeSolicitProposal() {
 		// immediately, with no batching delay, and risk no
 		// transactions), so the first transaction-carrying block lands
 		// at the frontier with its linking safety net restored.
+		if e.cfg.Mode.resubmits() && e.catchup == nil {
+			// HoneyBadger has no linking, and a node that merely lags
+			// lands here too. The engine disperses the filler itself
+			// instead of soliciting the replica: an empty filler must
+			// not restart the replica's batching delay, or a lagging
+			// node reaches every later epoch one delay late and its
+			// transactions never commit.
+			_ = e.disperse(nil) // an empty block always encodes
+			e.maybeSolicitProposal()
+			return
+		}
 		empty = true
 	}
 	e.awaitingProposal = true
@@ -905,7 +941,7 @@ func (e *Engine) startRetrieval(key blockKey) {
 		}
 	}
 	e.actions = append(e.actions, StageAction{Epoch: key.epoch, Stage: StageRetrieveStart})
-	rs.ret = avid.NewRetriever(e.params)
+	rs.ret = avid.NewRetriever(e.params, e.self)
 	rs.asked = make([]bool, e.cfg.N)
 	// Stagger the request order by instance so retrieval load spreads
 	// across servers cluster-wide.
@@ -1077,8 +1113,15 @@ func (e *Engine) toRetriever(env wire.Envelope, msg wire.ReturnChunk) {
 // completed on this chunk.
 func (e *Engine) ingestReturnChunk(key blockKey, rs *retrState, from int, msg wire.ReturnChunk) bool {
 	// The retriever's own output would be a CancelRequest broadcast; the
-	// engine instead cancels exactly the servers it asked.
-	_, done := rs.ret.HandleReturnChunk(from, msg)
+	// engine instead cancels exactly the servers it asked. The node's own
+	// server already hashed its chunk when it verified it.
+	ret := rs.ret
+	var done bool
+	if leaf, ok := e.ownLeaf(key, from, msg); ok {
+		_, done = ret.HandleOwnChunk(msg, leaf)
+	} else {
+		_, done = ret.HandleReturnChunk(from, msg)
+	}
 	if !done {
 		return false
 	}
@@ -1088,7 +1131,7 @@ func (e *Engine) ingestReturnChunk(key blockKey, rs *retrState, from int, msg wi
 			e.emit(to, out, e.priorityFor(wire.CancelRequest{}), key.epoch)
 		}
 	}
-	raw, bad := rs.ret.Block()
+	raw, bad := ret.Block()
 	rs.done = true
 	rs.bad = bad
 	rs.ret = nil
@@ -1099,7 +1142,7 @@ func (e *Engine) ingestReturnChunk(key blockKey, rs *retrState, from int, msg wi
 			rs.txs = blk.Txs
 			rs.payload = blk.PayloadBytes()
 			if e.cfg.StateSync && key.proposer != e.self {
-				e.backfillOwnChunk(key, raw)
+				e.backfillOwnChunk(key, ret)
 			}
 		} else {
 			rs.bad = true
@@ -1107,6 +1150,19 @@ func (e *Engine) ingestReturnChunk(key blockKey, rs *retrState, from int, msg wi
 	}
 	e.onRetrievalDone(key)
 	return true
+}
+
+// ownLeaf returns the leaf hash the node's own VID server kept for msg's
+// chunk when msg is that server's answer to its own retriever.
+func (e *Engine) ownLeaf(key blockKey, from int, msg wire.ReturnChunk) (merkle.Root, bool) {
+	if from != e.self {
+		return merkle.Root{}, false
+	}
+	es := e.epochs[key.epoch]
+	if es == nil || es.vids[key.proposer] == nil {
+		return merkle.Root{}, false
+	}
+	return es.vids[key.proposer].VerifiedLeaf(msg.Data)
 }
 
 func (e *Engine) onRetrievalDone(key blockKey) {

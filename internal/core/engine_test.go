@@ -397,6 +397,44 @@ func TestHBResubmitsDroppedBlocks(t *testing.T) {
 	}
 }
 
+// TestHBLaggingNodeResubmitsAndCatchesUp: a slow HB node can see its
+// epochs decide without it. The block it proposes late can never
+// commit, so its transactions go back to the mempool; the epochs that
+// decided meanwhile it fills with empty blocks itself, so its next
+// solicitation is at the frontier and carries no batching delay.
+func TestHBLaggingNodeResubmitsAndCatchesUp(t *testing.T) {
+	c := newTestCluster(t, Config{N: 4, F: 1, Mode: ModeHB}, 1, 2)
+	c.start()
+	var held []int
+	for _, node := range c.propose {
+		if node != 3 {
+			held = append(held, node)
+		}
+	}
+	c.propose = held // node 3 does not propose yet
+	c.run()
+	for e := uint64(1); e <= 2; e++ {
+		if _, ok := c.decided[3][e]; !ok {
+			t.Fatalf("epoch %d did not decide at node 3 without its proposal", e)
+		}
+	}
+	tx := []byte("late tx")
+	acts, err := c.engines[3].Propose([][]byte{tx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.apply(3, acts)
+	if len(c.resubmits[3]) != 1 || len(c.resubmits[3][0]) != 1 || !bytes.Equal(c.resubmits[3][0][0], tx) {
+		t.Fatalf("late proposal's batch not resubmitted: %q", c.resubmits[3])
+	}
+	if got := c.engines[3].DispersalEpoch(); got != 2 || c.emptyReq[3] != 0 {
+		t.Fatalf("node 3 at dispersal epoch %d after %d empty solicitations, want epoch 2 filled by the engine", got, c.emptyReq[3])
+	}
+	if len(c.propose) != 1 || c.propose[0] != 3 {
+		t.Fatalf("node 3 not solicited at the frontier: pending solicitations %v", c.propose)
+	}
+}
+
 func TestDLNeverResubmits(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		c := newTestCluster(t, Config{N: 4, F: 1, Mode: ModeDL}, seed, 3)

@@ -464,26 +464,31 @@ func (e *Engine) advanceContiguous(j int) {
 	}
 }
 
-// backfillOwnChunk reconstructs this node's AVID chunk from a block just
-// retrieved over the network and adopts the VID completion. The agreed
-// root is trustworthy — K proof-valid chunks from distinct servers plus
-// the re-encoding check pin it, the same argument live retrieval rests
-// on — so the adoption claims nothing a Byzantine donor could have
-// planted. This is what lets a state-synced joiner serve chunks (and
+// backfillOwnChunk adopts the VID completion of a block just retrieved
+// over the network, with this node's own AVID chunk and proof taken from
+// the retriever's re-encoding check. A server that already Completed
+// and holds its chunk — the healthy case — has nothing to adopt. The
+// agreed root is trustworthy — K proof-valid chunks from distinct
+// servers plus the re-encoding check pin it, the same argument live
+// retrieval rests on — so the adoption claims nothing a Byzantine donor
+// could have planted. This is what lets a state-synced joiner serve chunks (and
 // recover its completion watermark) for epochs it never participated
 // in, and any lagging node become a useful server for blocks it had to
 // download anyway.
-func (e *Engine) backfillOwnChunk(key blockKey, raw []byte) {
+func (e *Engine) backfillOwnChunk(key blockKey, ret *avid.Retriever) {
 	if key.epoch <= e.prunedThrough {
-		return
-	}
-	root, data, proof, err := avid.OwnChunk(e.params, e.self, raw)
-	if err != nil {
 		return
 	}
 	v := e.vid(key.epoch, key.proposer)
 	wasDone, _ := v.Completed()
 	hadChunk := v.HasChunk()
+	if wasDone && hadChunk {
+		return
+	}
+	root, data, proof, ok := ret.OwnChunk()
+	if !ok {
+		return
+	}
 	outs := v.AdoptComplete(root, data, proof)
 	for _, o := range outs {
 		out := wire.Envelope{From: e.self, Epoch: key.epoch, Proposer: key.proposer, Payload: o.Msg}

@@ -154,17 +154,17 @@ func TestLatencyReport(t *testing.T) {
 		st := &Status{Addr: fmt.Sprintf("n%d:1", node), SchemaVersion: telemetry.StatusSchemaVersion, Node: node}
 		st.Config.N, st.Config.F, st.Config.Mode = 4, 1, "dl"
 		st.Metrics = map[string]json.RawMessage{
-			`dl_tx_phase_seconds{phase="mempool_wait"}`:  hist(10, 0.050, 0.200),
-			`dl_tx_phase_seconds{phase="ba"}`:            hist(10, p50BA, 2*p50BA),
-			`dl_tx_phase_seconds{phase="deliver"}`:       hist(10, 0.010, 0.020),
-			`dl_queue_mempool_txs{shard="front"}`:        raw(3),
-			`dl_queue_mempool_txs{shard="clients"}`:      raw(7),
-			"dl_queue_mempool_oldest_age_ms":             raw(150),
-			"dl_queue_proposal_fill_pct":                 raw(85),
-			"dl_queue_retrieval_inflight":                raw(2),
-			"dl_queue_ba_inflight":                       raw(4),
-			`dl_queue_transport_write{peer="2"}`:         raw(9),
-			`dl_queue_transport_write{peer="3"}`:         raw(1),
+			`dl_tx_phase_seconds{phase="mempool_wait"}`: hist(10, 0.050, 0.200),
+			`dl_tx_phase_seconds{phase="ba"}`:           hist(10, p50BA, 2*p50BA),
+			`dl_tx_phase_seconds{phase="deliver"}`:      hist(10, 0.010, 0.020),
+			`dl_queue_mempool_txs{shard="front"}`:       raw(3),
+			`dl_queue_mempool_txs{shard="clients"}`:     raw(7),
+			"dl_queue_mempool_oldest_age_ms":            raw(150),
+			"dl_queue_proposal_fill_pct":                raw(85),
+			"dl_queue_retrieval_inflight":               raw(2),
+			"dl_queue_ba_inflight":                      raw(4),
+			`dl_queue_transport_write{peer="2"}`:        raw(9),
+			`dl_queue_transport_write{peer="3"}`:        raw(1),
 		}
 		return st
 	}

@@ -505,7 +505,7 @@ func (h *Hub) Submit(client uint64, reqID uint64, tx []byte) Receipt {
 
 	var err error
 	h.node.Exec(func(r *replica.Replica) {
-		err = r.SubmitFrom(client, tx)
+		err = r.SubmitFrom(client, tx, hash)
 	})
 
 	switch err {

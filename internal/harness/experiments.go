@@ -273,9 +273,9 @@ type StageLatency struct {
 
 // LatencyResult reports per-node latency percentiles for one load point.
 type LatencyResult struct {
-	Mode        core.Mode
-	LoadPerNode float64 // paper-equivalent bytes/s
-	Names       []string
+	Mode              core.Mode
+	LoadPerNode       float64 // paper-equivalent bytes/s
+	Names             []string
 	P5, P50, P95, P99 []time.Duration // local-transaction latency per node
 	AllP50, AllP95    []time.Duration // all-transaction latency (Fig 14)
 	DeliveredPayload  []int64

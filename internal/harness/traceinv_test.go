@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dledger/internal/core"
+	"dledger/internal/mempool"
 	"dledger/internal/replica"
 	"dledger/internal/telemetry"
 	"dledger/internal/telemetry/txtrace"
@@ -122,12 +123,12 @@ func TestJourneyViolationsDetect(t *testing.T) {
 	m := telemetry.New(telemetry.Options{})
 	jour := txtrace.New(m, txtrace.Options{SampleEvery: 1})
 	tx := []byte("phantom")
-	jour.Submitted(tx, time.Second)
+	jour.Submitted(mempool.HashTx(tx), time.Second)
 	jour.ProposedBatch([][]byte{tx}, 9, 2*time.Second)
 	jour.EpochDelivered(9, 3*time.Second) // finalized in epoch 9
 
 	stuck := []byte("stuck")
-	jour.Submitted(stuck, time.Second)
+	jour.Submitted(mempool.HashTx(stuck), time.Second)
 	jour.ProposedBatch([][]byte{stuck}, 4, 2*time.Second) // never finalized
 
 	log := []LogEntry{

@@ -157,15 +157,19 @@ func (p *Pool) Push(tx []byte) { _ = p.PushFrom(LocalClient, tx) }
 // and the byte budget. The returned error is one of ErrDuplicatePending,
 // ErrDuplicateCommitted, ErrOverCapacity, or nil on acceptance.
 func (p *Pool) PushFrom(client uint64, tx []byte) error {
-	return p.PushFromAt(client, tx, 0)
-}
-
-// PushFromAt is PushFrom stamping the transaction's enqueue time with
-// the caller's clock, so OldestAt can report queue age.
-func (p *Pool) PushFromAt(client uint64, tx []byte, now time.Duration) error {
 	var h Hash
 	if p.opts.Dedup {
 		h = HashTx(tx)
+	}
+	return p.PushFromAt(client, tx, h, 0)
+}
+
+// PushFromAt is PushFrom for a caller that already hashed tx (h is
+// HashTx(tx); it is read only under deduplication), stamping the
+// transaction's enqueue time with the caller's clock so OldestAt can
+// report queue age.
+func (p *Pool) PushFromAt(client uint64, tx []byte, h Hash, now time.Duration) error {
+	if p.opts.Dedup {
 		if p.committed.has(h) {
 			return ErrDuplicateCommitted
 		}

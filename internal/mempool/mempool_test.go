@@ -243,8 +243,8 @@ func TestOldestAtTracksArrivalStamps(t *testing.T) {
 	if _, ok := p.OldestAt(); ok {
 		t.Fatal("empty pool reported an oldest stamp")
 	}
-	p.PushFromAt(1, []byte("a"), 5*time.Second)
-	p.PushFromAt(2, []byte("b"), 3*time.Second)
+	p.PushFromAt(1, []byte("a"), HashTx([]byte("a")), 5*time.Second)
+	p.PushFromAt(2, []byte("b"), HashTx([]byte("b")), 3*time.Second)
 	p.PushFrontAt([][]byte{[]byte("f")}, 4*time.Second)
 	if at, ok := p.OldestAt(); !ok || at != 3*time.Second {
 		t.Fatalf("OldestAt = %v,%v, want 3s", at, ok)

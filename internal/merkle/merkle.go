@@ -71,25 +71,37 @@ type span struct{ start, size int }
 // NewTree builds a Merkle tree over the given chunks. It panics if chunks
 // is empty: AVID-M always has N >= 1 chunks.
 func NewTree(chunks [][]byte) *Tree {
-	if len(chunks) == 0 {
+	leaves := make([]Root, len(chunks))
+	for i, c := range chunks {
+		leaves[i] = HashLeaf(c)
+	}
+	return NewTreeFromLeaves(leaves)
+}
+
+// NewTreeFromLeaves builds the tree whose leaf hashes are leaves (each a
+// HashLeaf output), for callers that already hold some of them — a
+// retrieval client re-encoding a block reuses the leaves it verified.
+// It panics if leaves is empty.
+func NewTreeFromLeaves(leaves []Root) *Tree {
+	if len(leaves) == 0 {
 		panic("merkle: empty leaf list")
 	}
-	t := &Tree{leaves: len(chunks), nodes: make(map[span]Root, 2*len(chunks))}
-	t.root = t.build(chunks, 0)
+	t := &Tree{leaves: len(leaves), nodes: make(map[span]Root, 2*len(leaves))}
+	t.root = t.build(leaves, 0)
 	return t
 }
 
-func (t *Tree) build(chunks [][]byte, start int) Root {
+func (t *Tree) build(leaves []Root, start int) Root {
 	var r Root
-	if len(chunks) == 1 {
-		r = HashLeaf(chunks[0])
+	if len(leaves) == 1 {
+		r = leaves[0]
 	} else {
-		k := splitPoint(len(chunks))
-		left := t.build(chunks[:k], start)
-		right := t.build(chunks[k:], start+k)
+		k := splitPoint(len(leaves))
+		left := t.build(leaves[:k], start)
+		right := t.build(leaves[k:], start+k)
 		r = hashInterior(left, right)
 	}
-	t.nodes[span{start, len(chunks)}] = r
+	t.nodes[span{start, len(leaves)}] = r
 	return r
 }
 
@@ -138,13 +150,17 @@ func (t *Tree) Prove(i int) (Proof, error) {
 // Verify reports whether proof shows that chunk is the leaf at proof.Index
 // of a tree with proof.Leaves leaves whose root is root.
 func Verify(root Root, chunk []byte, proof Proof) bool {
-	if proof.Index < 0 || proof.Leaves <= 0 || proof.Index >= proof.Leaves {
+	// A malformed proof is rejected before the chunk is hashed.
+	return wellFormed(proof) && VerifyLeaf(root, HashLeaf(chunk), proof)
+}
+
+// VerifyLeaf is Verify for a caller that already holds the chunk's leaf
+// hash (HashLeaf of the chunk): it checks only the proof path.
+func VerifyLeaf(root, leaf Root, proof Proof) bool {
+	if !wellFormed(proof) {
 		return false
 	}
-	if len(proof.Path) != pathLen(proof.Index, proof.Leaves) {
-		return false
-	}
-	h := HashLeaf(chunk)
+	h := leaf
 	idx, leaves := proof.Index, proof.Leaves
 	// Recompute bottom-up. At each level we need to know whether the
 	// current subtree is a left or right child, which depends on the RFC
@@ -158,6 +174,15 @@ func Verify(root Root, chunk []byte, proof Proof) bool {
 		}
 	}
 	return h == root
+}
+
+// wellFormed reports whether proof's index and path length fit its
+// leaf count.
+func wellFormed(proof Proof) bool {
+	if proof.Index < 0 || proof.Leaves <= 0 || proof.Index >= proof.Leaves {
+		return false
+	}
+	return len(proof.Path) == pathLen(proof.Index, proof.Leaves)
 }
 
 // directions returns, leaf-to-root, whether the node on the path is a right
@@ -195,10 +220,4 @@ func pathLen(index, leaves int) int {
 		n++
 	}
 	return n
-}
-
-// RootOf is a convenience that builds a tree over chunks and returns only
-// the root. Retrieval clients use it for the re-encoding check.
-func RootOf(chunks [][]byte) Root {
-	return NewTree(chunks).Root()
 }

@@ -116,18 +116,54 @@ func TestEmptyTreePanics(t *testing.T) {
 func TestRootDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	chunks := randChunks(rng, 12, 48)
-	if NewTree(chunks).Root() != RootOf(chunks) {
-		t.Fatal("RootOf disagrees with NewTree().Root()")
+	leaves := make([]Root, len(chunks))
+	for i, c := range chunks {
+		leaves[i] = HashLeaf(c)
+	}
+	tree, fromLeaves := NewTree(chunks), NewTreeFromLeaves(leaves)
+	if tree.Root() != fromLeaves.Root() {
+		t.Fatal("NewTreeFromLeaves disagrees with NewTree")
+	}
+	for i := range chunks {
+		p1, _ := tree.Prove(i)
+		p2, _ := fromLeaves.Prove(i)
+		if len(p1.Path) != len(p2.Path) {
+			t.Fatalf("leaf %d: proof lengths differ", i)
+		}
+		for j := range p1.Path {
+			if p1.Path[j] != p2.Path[j] {
+				t.Fatalf("leaf %d: proofs differ at level %d", i, j)
+			}
+		}
+	}
+}
+
+func TestVerifyLeaf(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	chunks := randChunks(rng, 7, 40)
+	tree := NewTree(chunks)
+	for i, c := range chunks {
+		proof, _ := tree.Prove(i)
+		if !VerifyLeaf(tree.Root(), HashLeaf(c), proof) {
+			t.Fatalf("leaf %d: valid leaf rejected", i)
+		}
+		if VerifyLeaf(tree.Root(), HashLeaf(chunks[(i+1)%len(chunks)]), proof) {
+			t.Fatalf("leaf %d: another chunk's leaf accepted", i)
+		}
+		proof.Path = proof.Path[1:]
+		if VerifyLeaf(tree.Root(), HashLeaf(c), proof) {
+			t.Fatalf("leaf %d: truncated path accepted", i)
+		}
 	}
 }
 
 func TestRootSensitiveToOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	chunks := randChunks(rng, 6, 16)
-	r1 := RootOf(chunks)
+	r1 := NewTree(chunks).Root()
 	swapped := append([][]byte(nil), chunks...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
-	if r1 == RootOf(swapped) {
+	if r1 == NewTree(swapped).Root() {
 		t.Fatal("root must depend on leaf order")
 	}
 }

@@ -42,7 +42,7 @@ func TestDedupSurvivesRestartViaWAL(t *testing.T) {
 		r.Start()
 	}
 	tx := workload.Make(0, 1, 0, 120)
-	if err := net.replicas[0].SubmitFrom(42, tx); err != nil {
+	if err := submitFrom(net.replicas[0], 42, tx); err != nil {
 		t.Fatal(err)
 	}
 	net.run(2 * time.Second)
@@ -56,7 +56,7 @@ func TestDedupSurvivesRestartViaWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.SubmitFrom(42, tx); err != mempool.ErrDuplicateCommitted {
+	if err := submitFrom(r2, 42, tx); err != mempool.ErrDuplicateCommitted {
 		t.Fatalf("resubmission after restart: %v, want ErrDuplicateCommitted", err)
 	}
 	found := false
@@ -82,14 +82,14 @@ func TestDedupSurvivesCheckpointCompaction(t *testing.T) {
 		r.Start()
 	}
 	first := workload.Make(0, 1, 0, 120)
-	if err := net.replicas[0].SubmitFrom(7, first); err != nil {
+	if err := submitFrom(net.replicas[0], 7, first); err != nil {
 		t.Fatal(err)
 	}
 	net.run(time.Second)
 	// Push the cluster through enough epochs that multiple checkpoints
 	// subsume (and compact away) the first delivery's WAL records.
 	for k := 2; k < 30; k++ {
-		net.replicas[0].SubmitFrom(7, workload.Make(0, uint32(k), net.now, 120))
+		submitFrom(net.replicas[0], 7, workload.Make(0, uint32(k), net.now, 120))
 		net.run(net.now + 150*time.Millisecond)
 	}
 	if net.replicas[0].Stats.EpochsDelivered < 6 {
@@ -101,7 +101,7 @@ func TestDedupSurvivesCheckpointCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.SubmitFrom(7, first); err != mempool.ErrDuplicateCommitted {
+	if err := submitFrom(r2, 7, first); err != mempool.ErrDuplicateCommitted {
 		t.Fatalf("resubmission after checkpointed restart: %v, want ErrDuplicateCommitted", err)
 	}
 }
@@ -132,7 +132,7 @@ func TestInFlightProposalMarkedPending(t *testing.T) {
 	// transaction; a lone replica proposes (persisting RecProposed) but
 	// can never decide — the proposal stays in flight forever.
 	tx := workload.Make(0, 1, 0, 120)
-	if err := r.SubmitFrom(3, tx); err != nil {
+	if err := submitFrom(r, 3, tx); err != nil {
 		t.Fatal(err)
 	}
 	r.Start()
@@ -142,7 +142,7 @@ func TestInFlightProposalMarkedPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.SubmitFrom(3, tx); err != mempool.ErrDuplicatePending {
+	if err := submitFrom(r2, 3, tx); err != mempool.ErrDuplicatePending {
 		t.Fatalf("resubmission of in-flight tx: %v, want ErrDuplicatePending", err)
 	}
 }
@@ -152,16 +152,22 @@ func TestRejectionCounters(t *testing.T) {
 	net := newFakeCluster(t, core.Config{N: 4, F: 1, Mode: core.ModeDL},
 		Params{ClientDedup: true, MempoolBytes: 300})
 	r := net.replicas[0]
-	if err := r.SubmitFrom(1, make([]byte, 200)); err != nil {
+	if err := submitFrom(r, 1, make([]byte, 200)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.SubmitFrom(1, make([]byte, 200)); err != mempool.ErrDuplicatePending {
+	if err := submitFrom(r, 1, make([]byte, 200)); err != mempool.ErrDuplicatePending {
 		t.Fatalf("dup: %v", err)
 	}
-	if err := r.SubmitFrom(2, []byte(fmt.Sprintf("%200d", 1))); err != mempool.ErrOverCapacity {
+	if err := submitFrom(r, 2, []byte(fmt.Sprintf("%200d", 1))); err != mempool.ErrOverCapacity {
 		t.Fatalf("budget: %v", err)
 	}
 	if r.Stats.RejectedSubmissions != 2 || r.Stats.Submitted != 1 {
 		t.Fatalf("rejected=%d submitted=%d", r.Stats.RejectedSubmissions, r.Stats.Submitted)
 	}
+}
+
+// submitFrom submits tx for client with its ingress hash, as the
+// gateway does.
+func submitFrom(r *Replica, client uint64, tx []byte) error {
+	return r.SubmitFrom(client, tx, mempool.HashTx(tx))
 }

@@ -507,18 +507,24 @@ func (r *Replica) Start() {
 
 // Submit enqueues a transaction from the node's own in-process client,
 // ignoring admission rejections (the seed behaviour; rejections are
-// still counted in Stats.RejectedSubmissions).
+// still counted in Stats.RejectedSubmissions). The transaction is hashed
+// only when deduplication or journey sampling reads the hash.
 func (r *Replica) Submit(tx []byte) {
-	_ = r.SubmitFrom(mempool.LocalClient, tx)
+	var h mempool.Hash
+	if r.params.ClientDedup || r.jour != nil {
+		h = mempool.HashTx(tx)
+	}
+	_ = r.SubmitFrom(mempool.LocalClient, tx, h)
 }
 
 // SubmitFrom enqueues a transaction on behalf of a gateway client,
 // subject to the mempool's admission control: the returned error is nil
 // on acceptance or one of mempool.ErrDuplicatePending,
-// mempool.ErrDuplicateCommitted, mempool.ErrOverCapacity.
-func (r *Replica) SubmitFrom(client uint64, tx []byte) error {
+// mempool.ErrDuplicateCommitted, mempool.ErrOverCapacity. h is
+// mempool.HashTx(tx), computed once at ingress.
+func (r *Replica) SubmitFrom(client uint64, tx []byte, h mempool.Hash) error {
 	now := r.ctx.Now()
-	if err := r.pool.PushFromAt(client, tx, now); err != nil {
+	if err := r.pool.PushFromAt(client, tx, h, now); err != nil {
 		r.Stats.RejectedSubmissions++
 		r.tel.rejected.Inc()
 		return err
@@ -527,7 +533,7 @@ func (r *Replica) SubmitFrom(client uint64, tx []byte) error {
 	r.Stats.SubmittedBytes += int64(len(tx))
 	r.tel.txsSubmitted.Inc()
 	r.tel.mempoolBytes.Set(int64(r.pool.PendingBytes()))
-	r.jour.Submitted(tx, now)
+	r.jour.Submitted(h, now)
 	r.tryPropose()
 	return nil
 }

@@ -46,7 +46,7 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(fakeEvent)) }
 func (h *eventHeap) Pop() interface{} {
 	old := *h

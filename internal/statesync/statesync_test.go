@@ -180,11 +180,11 @@ func TestVerifyChunkRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	block := []byte("the canonical test block payload for chunk verification")
-	root, data, proof, err := avid.OwnChunk(p, 2, block)
+	chunks, root, err := avid.Disperse(p, block)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := store.ChunkRecord{Epoch: 20, Proposer: 1, Root: root, HasChunk: true, Data: data, Proof: proof}
+	rec := store.ChunkRecord{Epoch: 20, Proposer: 1, Root: root, HasChunk: true, Data: chunks[2].Data, Proof: chunks[2].Proof}
 	if !VerifyChunkRecord(2, rec) {
 		t.Fatal("valid record rejected")
 	}

@@ -216,14 +216,13 @@ func (j *Journeys) Sampled(h mempool.Hash) bool {
 	return j != nil && h[0]&j.mask == 0
 }
 
-// Submitted records tx entering the mempool at Context-clock time
-// now. Unsampled transactions cost one hash and a mask test, no
-// allocation, no lock.
-func (j *Journeys) Submitted(tx []byte, now time.Duration) {
+// Submitted records the transaction with content hash h entering the
+// mempool at Context-clock time now. Unsampled transactions cost a mask
+// test, no allocation, no lock.
+func (j *Journeys) Submitted(h mempool.Hash, now time.Duration) {
 	if j == nil {
 		return
 	}
-	h := mempool.HashTx(tx)
 	if h[0]&j.mask != 0 {
 		return
 	}

@@ -43,7 +43,7 @@ func TestJourneyLifecycle(t *testing.T) {
 	h := mempool.HashTx(tx)
 
 	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-	j.Submitted(tx, sec(1))
+	j.Submitted(mempool.HashTx(tx), sec(1))
 	j.AdmitObserved(h, 5*time.Millisecond)
 	j.ProposedBatch([][]byte{tx}, 7, sec(2))
 	tr := m.Trace()
@@ -102,7 +102,7 @@ func TestJourneyLifecycle(t *testing.T) {
 func TestReProposal(t *testing.T) {
 	m, j := newJourneys(t, Options{SampleEvery: 1})
 	tx := []byte("re-proposed")
-	j.Submitted(tx, time.Second)
+	j.Submitted(mempool.HashTx(tx), time.Second)
 	j.ProposedBatch([][]byte{tx}, 3, 2*time.Second)
 	j.ProposedBatch([][]byte{tx}, 5, 4*time.Second)
 
@@ -135,11 +135,11 @@ func TestSamplingIsDeterministicByHash(t *testing.T) {
 		}
 	}
 	samp := mkTx(t, true)
-	j.Submitted(samp, time.Second)
+	j.Submitted(mempool.HashTx(samp), time.Second)
 	if len(j.Live()) != 1 {
 		t.Fatalf("sampled tx not tracked")
 	}
-	j.Submitted(mkTx(t, false), time.Second)
+	j.Submitted(mempool.HashTx(mkTx(t, false)), time.Second)
 	if len(j.Live()) != 1 {
 		t.Fatalf("unsampled tx tracked")
 	}
@@ -150,7 +150,7 @@ func TestUnsetPhasesClampNonNegative(t *testing.T) {
 	// must still produce non-negative phases.
 	_, j := newJourneys(t, Options{SampleEvery: 1})
 	tx := []byte("stuck")
-	j.Submitted(tx, 5*time.Second)
+	j.Submitted(mempool.HashTx(tx), 5*time.Second)
 	j.ProposedBatch([][]byte{tx}, 2, 6*time.Second)
 	j.EpochDelivered(2, 4*time.Second) // clock oddity: deliver "before" proposal
 	done := j.Completed()
@@ -167,7 +167,7 @@ func TestUnsetPhasesClampNonNegative(t *testing.T) {
 func TestLiveEvictionBounded(t *testing.T) {
 	_, j := newJourneys(t, Options{SampleEvery: 1, MaxLive: 4})
 	for i := 0; i < 10; i++ {
-		j.Submitted([]byte{byte(i)}, time.Duration(i)*time.Second)
+		j.Submitted(mempool.HashTx([]byte{byte(i)}), time.Duration(i)*time.Second)
 	}
 	if n := len(j.Live()); n != 4 {
 		t.Fatalf("live = %d, want 4 (MaxLive)", n)
@@ -176,7 +176,7 @@ func TestLiveEvictionBounded(t *testing.T) {
 
 func TestNilJourneysNoOp(t *testing.T) {
 	var j *Journeys
-	j.Submitted([]byte("x"), 0)
+	j.Submitted(mempool.HashTx([]byte("x")), 0)
 	j.AdmitObserved(mempool.Hash{}, 0)
 	j.ProposedBatch([][]byte{{1}}, 1, 0)
 	j.DeliveredTxs([][]byte{{1}}, 0)
@@ -199,7 +199,7 @@ func TestUnsampledFastPathAllocs(t *testing.T) {
 	h := mempool.HashTx(tx)
 	batch := [][]byte{tx}
 	hashes := []mempool.Hash{h}
-	if n := testing.AllocsPerRun(200, func() { j.Submitted(tx, time.Second) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { j.Submitted(h, time.Second) }); n != 0 {
 		t.Errorf("Submitted(unsampled) = %v allocs/run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { j.ProposedBatch(batch, 1, time.Second) }); n != 0 {
